@@ -6,7 +6,7 @@
 //! machine-readable output in `results/bench_codec.json`. Run:
 //! `cargo bench -p vcu-bench --bench codec --offline`
 
-use vcu_bench::timing::{host_cores, results_path, smoke, Harness};
+use vcu_bench::timing::{artifact_path, host_cores, smoke, Harness};
 use vcu_codec::entropy::{AdaptiveModel, BoolDecoder, BoolEncoder};
 use vcu_codec::kernels;
 use vcu_codec::motion::{satd, search, SearchParams};
@@ -263,13 +263,6 @@ fn main() {
     let (pframes, pchunk) = if smoke { (4, 2) } else { (12, 3) };
     bench_parallel_encode(&mut h, pframes, pchunk);
     bench_unbalanced_batch(&mut h, smoke);
-    let path = if smoke {
-        std::env::temp_dir()
-            .join("bench_codec_smoke.json")
-            .to_string_lossy()
-            .into_owned()
-    } else {
-        results_path("bench_codec.json")
-    };
+    let path = artifact_path("bench_codec.json");
     h.write_json(&path).expect("write bench_codec results");
 }

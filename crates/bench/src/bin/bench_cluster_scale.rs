@@ -21,7 +21,7 @@
 //! Set `VCU_BENCH_SMOKE=1` for a seconds-long CI configuration that
 //! writes to a temp directory instead of `results/`.
 
-use vcu_bench::timing::{results_path, Harness};
+use vcu_bench::timing::{artifact_path, smoke, Harness};
 use vcu_chip::{ResourceDemand, TranscodeJob, VcuModel};
 use vcu_cluster::{
     ClusterConfig, ClusterReport, ClusterSim, JobSpec, PlacementMode, Priority, Scheduler,
@@ -141,7 +141,7 @@ fn placement_churn(h: &mut Harness, vcus: usize, mode: PlacementMode, ops: u64) 
 }
 
 fn main() {
-    let smoke = std::env::var("VCU_BENCH_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty());
+    let smoke = smoke();
     let (scales, jobs_per_vcu, churn_ops): (&[usize], usize, u64) = if smoke {
         (&[16, 64], 10, 64)
     } else {
@@ -230,13 +230,6 @@ fn main() {
         );
     }
 
-    let path = if smoke {
-        std::env::temp_dir()
-            .join("bench_cluster_scale_smoke.json")
-            .to_string_lossy()
-            .into_owned()
-    } else {
-        results_path("bench_cluster_scale.json")
-    };
+    let path = artifact_path("bench_cluster_scale.json");
     h.write_json(&path).expect("write bench json");
 }

@@ -13,9 +13,9 @@
 //!    at parallelism 4 (or `VCU_THREADS`), and the rendered JSON must
 //!    match byte-for-byte;
 //! 2. **anchor-on-frontier** — the shipped VCU appears exactly once
-//!    and no candidate dominates it beyond `VCU_DSE_ANCHOR_TOL`
-//!    (default 2%): if the model claims a strictly better chip was
-//!    left on the table, the model is miscalibrated and CI fails;
+//!    and no candidate dominates it beyond `DEFAULT_ANCHOR_TOL` (2%):
+//!    if the model claims a strictly better chip was left on the
+//!    table, the model is miscalibrated and CI fails;
 //! 3. **frontier consistency** — the `on_frontier` flags must be
 //!    exactly the non-dominated set, independently recomputed.
 //!
@@ -23,20 +23,11 @@
 //! Set `VCU_BENCH_SMOKE=1` for a seconds-long 3×3 sweep that writes to
 //! a temp directory instead of `results/`.
 
-use vcu_bench::timing::results_path;
+use vcu_bench::timing::{artifact_path, smoke};
 use vcu_dse::{
     check_anchor, frontier_flags, render_dse_json, run_dse, DseCandidate, DseConfig,
     DEFAULT_ANCHOR_TOL,
 };
-
-fn anchor_tol() -> f64 {
-    match std::env::var("VCU_DSE_ANCHOR_TOL") {
-        Ok(v) => v
-            .parse()
-            .unwrap_or_else(|_| panic!("VCU_DSE_ANCHOR_TOL must be a float, got {v:?}")),
-        Err(_) => DEFAULT_ANCHOR_TOL,
-    }
-}
 
 fn print_table(candidates: &[DseCandidate]) {
     println!(
@@ -71,7 +62,7 @@ fn print_table(candidates: &[DseCandidate]) {
 }
 
 fn main() {
-    let smoke = std::env::var("VCU_BENCH_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty());
+    let smoke = smoke();
     let seed = vcu_rng::env_seed(42);
     let cfg = if smoke {
         DseConfig::smoke(seed)
@@ -101,8 +92,7 @@ fn main() {
 
     // Gate 2: the shipped VCU validates the model by landing on (or
     // within tolerance of) its own frontier.
-    let tol = anchor_tol();
-    if let Err(e) = check_anchor(&candidates, tol) {
+    if let Err(e) = check_anchor(&candidates, DEFAULT_ANCHOR_TOL) {
         panic!("anchor gate failed: {e}");
     }
     let anchor = candidates.iter().find(|c| c.anchor).expect("anchor");
@@ -123,17 +113,10 @@ fn main() {
     }
     let frontier = candidates.iter().filter(|c| c.on_frontier).count();
     println!(
-        "\nanchor gate passed (tol {tol}): shipped VCU on the {frontier}-point frontier; no dominated point reported"
+        "\nanchor gate passed (tol {DEFAULT_ANCHOR_TOL}): shipped VCU on the {frontier}-point frontier; no dominated point reported"
     );
 
-    let path = if smoke {
-        std::env::temp_dir()
-            .join("dse_frontier_smoke.json")
-            .to_string_lossy()
-            .into_owned()
-    } else {
-        results_path("dse_frontier.json")
-    };
+    let path = artifact_path("dse_frontier.json");
     std::fs::write(&path, json).expect("write dse json");
     println!("wrote {path}");
 }

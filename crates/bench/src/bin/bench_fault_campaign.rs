@@ -19,7 +19,7 @@
 //! Set `VCU_BENCH_SMOKE=1` for a seconds-long CI configuration that
 //! writes to a temp directory instead of `results/`.
 
-use vcu_bench::timing::results_path;
+use vcu_bench::timing::{artifact_path, smoke};
 use vcu_cluster::{render_json, run_campaign, CampaignCell, CampaignConfig};
 
 /// Max goodput drop tolerated between adjacent fault-rate cells at the
@@ -64,7 +64,7 @@ fn assert_graceful(cells: &[CampaignCell]) {
 }
 
 fn main() {
-    let smoke = std::env::var("VCU_BENCH_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty());
+    let smoke = smoke();
     let cfg = if smoke {
         CampaignConfig {
             vcus: 64,
@@ -126,14 +126,7 @@ fn main() {
     assert_graceful(&cells);
     println!("\ngraceful-degradation gate passed: no adjacent cliff > {MAX_STEP_DROP}, floor {GOODPUT_FLOOR}");
 
-    let path = if smoke {
-        std::env::temp_dir()
-            .join("fault_campaign_smoke.json")
-            .to_string_lossy()
-            .into_owned()
-    } else {
-        results_path("fault_campaign.json")
-    };
+    let path = artifact_path("fault_campaign.json");
     std::fs::write(&path, render_json(&cfg, &cells)).expect("write campaign json");
     println!("wrote {path}");
 }

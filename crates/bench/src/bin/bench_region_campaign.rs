@@ -19,7 +19,7 @@
 //! Set `VCU_BENCH_SMOKE=1` for a seconds-long CI configuration that
 //! writes to a temp directory instead of `results/`.
 
-use vcu_bench::timing::results_path;
+use vcu_bench::timing::{artifact_path, smoke};
 use vcu_regions::{
     render_region_json, run_region_campaign, RegionCampaignCell, RegionCampaignConfig,
 };
@@ -51,7 +51,7 @@ fn assert_overflow_helps(cells: &[RegionCampaignCell]) {
 }
 
 fn main() {
-    let smoke = std::env::var("VCU_BENCH_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty());
+    let smoke = smoke();
     let cfg = if smoke {
         RegionCampaignConfig::smoke(vcu_rng::env_seed(42))
     } else {
@@ -107,14 +107,7 @@ fn main() {
     assert_overflow_helps(&cells);
     println!("overflow-routing gate passed: goodput(overflow) >= goodput(isolated) in every cell");
 
-    let path = if smoke {
-        std::env::temp_dir()
-            .join("region_campaign_smoke.json")
-            .to_string_lossy()
-            .into_owned()
-    } else {
-        results_path("region_campaign.json")
-    };
+    let path = artifact_path("region_campaign.json");
     std::fs::write(&path, render_region_json(&cfg, &cells)).expect("write campaign json");
     println!("wrote {path}");
 }

@@ -21,7 +21,7 @@
 //! Set `VCU_BENCH_SMOKE=1` for a seconds-long CI configuration that
 //! writes to a temp directory instead of `results/`.
 
-use vcu_bench::timing::{results_path, smoke};
+use vcu_bench::timing::{artifact_path, smoke};
 use vcu_serve::{render_serve_json, run_serve_campaign, ServeCampaignCell, ServeCampaignConfig};
 
 /// Peak concurrency the full sweep must demonstrate.
@@ -155,14 +155,7 @@ fn main() {
         }
     );
 
-    let path = if quick {
-        std::env::temp_dir()
-            .join("serve_campaign_smoke.json")
-            .to_string_lossy()
-            .into_owned()
-    } else {
-        results_path("serve_campaign.json")
-    };
+    let path = artifact_path("serve_campaign.json");
     std::fs::write(&path, render_serve_json(&cfg, &cells)).expect("write campaign json");
     println!("wrote {path}");
 }

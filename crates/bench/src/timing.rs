@@ -98,33 +98,10 @@ impl Harness {
             }
         }
         let reps = if self.quick { 3 } else { DEFAULT_REPS };
-        let mut per_iter_ns: Vec<f64> = (0..reps)
+        let per_iter_ns = (0..reps)
             .map(|_| time_iters(iters, &mut f).as_nanos() as f64 / iters as f64)
             .collect();
-        per_iter_ns.sort_by(|a, b| a.total_cmp(b));
-        let median_ns = per_iter_ns[per_iter_ns.len() / 2];
-        let record = Record {
-            name: name.to_string(),
-            iters,
-            reps,
-            median_ns,
-            min_ns: per_iter_ns[0],
-            mean_ns: per_iter_ns.iter().sum::<f64>() / per_iter_ns.len() as f64,
-            elements,
-        };
-        let throughput = record
-            .elems_per_s()
-            .map(|t| format!("  ({:.3} Melem/s)", t / 1e6))
-            .unwrap_or_default();
-        println!(
-            "{:<40} median {:>12}  min {:>12}{}",
-            record.name,
-            fmt_ns(record.median_ns),
-            fmt_ns(record.min_ns),
-            throughput
-        );
-        self.records.push(record);
-        self.records.last().expect("just pushed")
+        self.record(name, iters, elements, per_iter_ns)
     }
 
     /// Times `reps` single-shot runs of `f` — no calibration, one
@@ -146,7 +123,7 @@ impl Harness {
     ) -> &Record {
         let reps = reps.max(1);
         let f = &f;
-        let mut per_iter_ns: Vec<f64> = vcu_exec::pool().run_batch(
+        let per_iter_ns = vcu_exec::pool().run_batch(
             vcu_exec::env_threads().min(reps),
             (0..reps)
                 .map(|_| {
@@ -158,11 +135,23 @@ impl Harness {
                 })
                 .collect(),
         );
+        self.record(name, 1, elements, per_iter_ns)
+    }
+
+    /// Summarizes one benchmark's per-iteration times (one per
+    /// repetition), then prints and records the result.
+    fn record(
+        &mut self,
+        name: &str,
+        iters: u64,
+        elements: Option<u64>,
+        mut per_iter_ns: Vec<f64>,
+    ) -> &Record {
         per_iter_ns.sort_by(|a, b| a.total_cmp(b));
         let record = Record {
             name: name.to_string(),
-            iters: 1,
-            reps,
+            iters,
+            reps: per_iter_ns.len(),
             median_ns: per_iter_ns[per_iter_ns.len() / 2],
             min_ns: per_iter_ns[0],
             mean_ns: per_iter_ns.iter().sum::<f64>() / per_iter_ns.len() as f64,
@@ -269,6 +258,21 @@ fn telemetry_sibling(path: &str) -> String {
 /// relative `results/` would land inside `crates/bench`).
 pub fn results_path(file: &str) -> String {
     format!("{}/../../results/{file}", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// Where a bench binary writes `file`: under [`smoke`] a temp-dir
+/// `<stem>_smoke.json`, so smoke runs never touch the committed
+/// results; otherwise [`results_path`].
+pub fn artifact_path(file: &str) -> String {
+    if smoke() {
+        let stem = file.strip_suffix(".json").unwrap_or(file);
+        std::env::temp_dir()
+            .join(format!("{stem}_smoke.json"))
+            .to_string_lossy()
+            .into_owned()
+    } else {
+        results_path(file)
+    }
 }
 
 fn time_iters<R>(iters: u64, f: &mut impl FnMut() -> R) -> Duration {

@@ -135,125 +135,6 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// A shard-partitioned event queue with a deterministic cross-shard
-/// merge — the planet-scale sibling of [`EventQueue`].
-///
-/// Events are keyed to a *shard* (a pool, cell, or cluster id) and
-/// stored in per-shard heaps, but tie-breaking stays **global**: every
-/// schedule draws one monotonically increasing sequence number shared
-/// by all shards, and `pop` returns the globally earliest
-/// `(time, seq)` pair. Partitioning a totally ordered set never
-/// changes its minimum, so the pop order is provably identical for
-/// *any* shard count — including 1, where the queue degenerates to a
-/// plain [`EventQueue`]. That invariant is what lets a `RegionSim`
-/// shard its event flow by cell and still replay byte-identically;
-/// `tests/properties.rs` pins it.
-#[derive(Debug)]
-pub struct ShardedEventQueue<E> {
-    shards: Vec<BinaryHeap<Scheduled<E>>>,
-    next_seq: u64,
-    now: f64,
-    len: usize,
-}
-
-impl<E> ShardedEventQueue<E> {
-    /// An empty queue at time zero with `shards` partitions (at least
-    /// one; a shard count of 0 is promoted to 1).
-    pub fn new(shards: usize) -> Self {
-        ShardedEventQueue {
-            shards: (0..shards.max(1)).map(|_| BinaryHeap::new()).collect(),
-            next_seq: 0,
-            now: 0.0,
-            len: 0,
-        }
-    }
-
-    /// Number of shard partitions.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Current simulation time (the time of the last popped event).
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
-    /// Schedules `event` at absolute time `time` on the shard keyed by
-    /// `key` (wrapped modulo the shard count, so any stable cell id
-    /// works as a key).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is NaN or earlier than the current time —
-    /// either would corrupt the cross-shard merge order.
-    pub fn schedule(&mut self, key: usize, time: f64, event: E) {
-        assert!(!time.is_nan(), "event time is NaN");
-        assert!(
-            time >= self.now,
-            "cannot schedule into the past: {time} < {}",
-            self.now
-        );
-        let shard = key % self.shards.len();
-        self.shards[shard].push(Scheduled {
-            time,
-            seq: self.next_seq,
-            event,
-        });
-        self.next_seq += 1;
-        self.len += 1;
-    }
-
-    /// Schedules `event` on shard `key` after a delay from now.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delay` is NaN (see [`EventQueue::schedule_in`]).
-    pub fn schedule_in(&mut self, key: usize, delay: f64, event: E) {
-        assert!(!delay.is_nan(), "event time is NaN");
-        let now = self.now;
-        self.schedule(key, now + delay.max(0.0), event);
-    }
-
-    /// Pops the globally earliest event (earliest time; ties broken by
-    /// the global schedule order), advancing the clock. Returns the
-    /// shard it came from alongside the event.
-    pub fn pop(&mut self) -> Option<(usize, Scheduled<E>)> {
-        // The cross-shard merge: scan each shard head for the smallest
-        // (time, seq). `Scheduled::cmp` is reversed for the max-heap,
-        // so the *largest* head under that order is the earliest event;
-        // seq numbers are globally unique, so there are no true ties.
-        let shard = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter_map(|(i, h)| h.peek().map(|s| (i, s)))
-            .max_by(|(_, a), (_, b)| a.cmp(b))?
-            .0;
-        let s = self.shards[shard].pop()?;
-        self.now = s.time;
-        self.len -= 1;
-        Some((shard, s))
-    }
-
-    /// Time of the globally earliest pending event without popping.
-    pub fn next_time(&self) -> Option<f64> {
-        self.shards
-            .iter()
-            .filter_map(|h| h.peek().map(|s| s.time))
-            .min_by(f64::total_cmp)
-    }
-
-    /// Number of pending events across all shards.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if no events remain on any shard.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,81 +207,5 @@ mod tests {
     fn nan_delay_is_rejected() {
         let mut q = EventQueue::new();
         q.schedule_in(f64::NAN, ());
-    }
-
-    #[test]
-    #[should_panic(expected = "time is NaN")]
-    fn sharded_nan_time_is_rejected() {
-        let mut q = ShardedEventQueue::new(4);
-        q.schedule(0, f64::NAN, ());
-    }
-
-    #[test]
-    #[should_panic(expected = "into the past")]
-    fn sharded_no_time_travel() {
-        // Past events must be rejected even when they target a shard
-        // whose own head is further behind than the global clock.
-        let mut q = ShardedEventQueue::new(2);
-        q.schedule(0, 10.0, ());
-        q.pop();
-        q.schedule(1, 5.0, ());
-    }
-
-    #[test]
-    fn sharded_merge_matches_single_queue_for_any_shard_count() {
-        // The tentpole invariant in miniature: the same schedule
-        // stream pops in the same global (time, seq) order whether it
-        // lands in 1, 3, or 8 shards.
-        let schedule: Vec<(usize, f64, u32)> = (0..200u32)
-            .map(|i| {
-                let t = ((i * 37) % 50) as f64 * 0.5; // plenty of time ties
-                (i as usize % 7, t, i)
-            })
-            .collect();
-        let reference: Vec<(f64, u32)> = {
-            let mut q = EventQueue::new();
-            for &(_, t, ev) in &schedule {
-                q.schedule(t, ev);
-            }
-            std::iter::from_fn(|| q.pop().map(|s| (s.time, s.event))).collect()
-        };
-        for shards in [1, 3, 8] {
-            let mut q = ShardedEventQueue::new(shards);
-            for &(key, t, ev) in &schedule {
-                q.schedule(key, t, ev);
-            }
-            assert_eq!(q.len(), schedule.len());
-            let order: Vec<(f64, u32)> =
-                std::iter::from_fn(|| q.pop().map(|(_, s)| (s.time, s.event))).collect();
-            assert_eq!(
-                order, reference,
-                "{shards}-shard merge diverged from the single queue"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_pop_reports_the_owning_shard() {
-        let mut q = ShardedEventQueue::new(3);
-        q.schedule(2, 1.0, "a");
-        q.schedule(7, 2.0, "b"); // 7 % 3 == 1
-        let (s0, e0) = q.pop().unwrap();
-        let (s1, e1) = q.pop().unwrap();
-        assert_eq!((s0, e0.event), (2, "a"));
-        assert_eq!((s1, e1.event), (1, "b"));
-        assert_eq!(q.now(), 2.0);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn sharded_next_time_is_the_global_minimum() {
-        let mut q = ShardedEventQueue::new(4);
-        assert_eq!(q.next_time(), None);
-        q.schedule(0, 9.0, ());
-        q.schedule(3, 4.0, ());
-        q.schedule(1, 6.0, ());
-        assert_eq!(q.next_time(), Some(4.0));
-        q.pop();
-        assert_eq!(q.next_time(), Some(6.0));
     }
 }

@@ -19,6 +19,7 @@ use vcu_chip::{ResourceDemand, TranscodeJob, VcuModel};
 use vcu_codec::Profile;
 use vcu_media::Resolution;
 use vcu_rng::{mix64, Rng};
+use vcu_telemetry::json::{artifact, fixed6, JsonObj};
 
 /// Campaign sweep configuration.
 #[derive(Debug, Clone)]
@@ -363,57 +364,34 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Vec<CampaignCell> {
     )
 }
 
-/// Fixed-precision float for byte-stable JSON ({:.6} is lossless at
-/// the magnitudes involved and avoids shortest-repr jitter).
-fn f(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_owned()
-    }
-}
-
 /// Renders a campaign as deterministic JSON (one cell object per
 /// line inside the array, stable key order). Two same-seed runs
 /// produce byte-identical output.
 pub fn render_json(cfg: &CampaignConfig, cells: &[CampaignCell]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!(
-        "  \"campaign\": {{\"vcus\": {}, \"jobs_per_vcu\": {}, \"seed\": {}}},\n",
-        cfg.vcus, cfg.jobs_per_vcu, cfg.seed
-    ));
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"fault_rate\": {}, \"mttr_s\": {}, \"jobs\": {}, \"goodput_frac\": {}, \
-             \"black_holed\": {}, \"blast_radius\": {}, \"mean_wait_s\": {}, \
-             \"p99_wait_s\": {}, \"stranded\": {}, \"shed\": {}, \"watchdog_fired\": {}, \
-             \"crash_aborts\": {}, \"repairs\": {}, \"quarantined_workers\": {}, \
-             \"degrade_time_frac\": [{}, {}, {}, {}]}}{}\n",
-            f(c.fault_rate),
-            f(c.mttr_s),
-            c.jobs,
-            f(c.goodput_frac),
-            c.black_holed,
-            f(c.blast_radius),
-            f(c.mean_wait_s),
-            f(c.p99_wait_s),
-            c.stranded,
-            c.shed,
-            c.watchdog_fired,
-            c.crash_aborts,
-            c.repairs,
-            c.quarantined_workers,
-            f(c.degrade_time_frac[0]),
-            f(c.degrade_time_frac[1]),
-            f(c.degrade_time_frac[2]),
-            f(c.degrade_time_frac[3]),
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let campaign = JsonObj::new()
+        .u64("vcus", cfg.vcus as u64)
+        .u64("jobs_per_vcu", cfg.jobs_per_vcu as u64)
+        .u64("seed", cfg.seed);
+    let rows = cells.iter().map(|c| {
+        let degrade: Vec<String> = c.degrade_time_frac.iter().map(|&x| fixed6(x)).collect();
+        JsonObj::new()
+            .fixed("fault_rate", c.fault_rate)
+            .fixed("mttr_s", c.mttr_s)
+            .u64("jobs", c.jobs)
+            .fixed("goodput_frac", c.goodput_frac)
+            .u64("black_holed", c.black_holed)
+            .fixed("blast_radius", c.blast_radius)
+            .fixed("mean_wait_s", c.mean_wait_s)
+            .fixed("p99_wait_s", c.p99_wait_s)
+            .u64("stranded", c.stranded)
+            .u64("shed", c.shed)
+            .u64("watchdog_fired", c.watchdog_fired)
+            .u64("crash_aborts", c.crash_aborts)
+            .u64("repairs", c.repairs)
+            .u64("quarantined_workers", c.quarantined_workers)
+            .raw("degrade_time_frac", format!("[{}]", degrade.join(", ")))
+    });
+    artifact(campaign, "cells", rows)
 }
 
 #[cfg(test)]
@@ -551,5 +529,37 @@ mod tests {
         };
         let json = render_json(&cfg, &run_campaign(&cfg));
         assert!(json.contains("\"mttr_s\": null"));
+    }
+
+    /// The header and first row of the committed artifact, rebuilt from
+    /// that row's values, must render byte for byte.
+    #[test]
+    fn render_pins_the_committed_artifact() {
+        let committed = include_str!("../../../results/fault_campaign.json");
+        let cfg = CampaignConfig::default();
+        let cell = CampaignCell {
+            fault_rate: 0.0,
+            mttr_s: 60.0,
+            jobs: 240_000,
+            goodput_frac: 1.0,
+            black_holed: 0,
+            blast_radius: 1.370983,
+            mean_wait_s: 0.0,
+            p99_wait_s: 0.0,
+            stranded: 0,
+            shed: 0,
+            watchdog_fired: 0,
+            crash_aborts: 0,
+            repairs: 0,
+            quarantined_workers: 0,
+            degrade_time_frac: [1.0, 0.0, 0.0, 0.0],
+        };
+        let rendered = render_json(&cfg, &[cell.clone(), cell]);
+        let head = |s: &str| s.lines().take(4).map(str::to_owned).collect::<Vec<_>>();
+        assert_eq!(head(&rendered), head(committed));
+        assert_eq!(
+            render_json(&cfg, &[]),
+            "{\n  \"campaign\": {\"vcus\": 1000, \"jobs_per_vcu\": 240, \"seed\": 42},\n  \"cells\": [\n  ]\n}\n"
+        );
     }
 }

@@ -20,7 +20,7 @@ pub mod scheduler;
 pub mod sim;
 pub mod tco;
 
-pub use des::{EventQueue, ShardedEventQueue};
+pub use des::EventQueue;
 pub use faultsim::{
     cell_cluster_config, correlated_domain_faults, fault_schedule, render_json, run_campaign,
     run_cell, upgrade_wave_faults, CampaignCell, CampaignConfig,

@@ -310,17 +310,6 @@ impl EncoderConfig {
     }
 }
 
-/// Reads the `VCU_THREADS` environment variable: the fleet-style knob
-/// for chunk-parallel encoding. Unset, empty, unparsable, or zero all
-/// fall back to 1 (sequential).
-///
-/// Re-exported from [`vcu_exec::env_threads`], the executor that
-/// actually honors the knob — kept here so codec callers keep a local
-/// name for it.
-pub fn env_threads() -> usize {
-    vcu_exec::env_threads()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

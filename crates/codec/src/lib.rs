@@ -32,6 +32,6 @@ pub use api::{
     decode, encode, encode_batch, encode_parallel, encode_parallel_traced, encode_traced,
     CodedFrameInfo, Decoded, Encoded,
 };
-pub use config::{env_threads, EncoderConfig, PassMode, RateControl, Toolset, TuningLevel};
+pub use config::{EncoderConfig, PassMode, RateControl, Toolset, TuningLevel};
 pub use stats::CodingStats;
 pub use types::{CodecError, FrameKind, MotionVector, Profile, Qp};

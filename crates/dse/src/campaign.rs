@@ -33,11 +33,12 @@ use vcu_cluster::{
 use vcu_codec::Profile;
 use vcu_media::Resolution;
 use vcu_rng::{mix64, Rng};
+use vcu_telemetry::json::{artifact, fixed6, JsonObj};
 
 /// Default anchor tolerance: a frontier point may beat the shipped
 /// design on *every* objective by up to this relative margin before
-/// the anchor gate calls the model miscalibrated (overridable via
-/// `VCU_DSE_ANCHOR_TOL` in the bench binary and artifact gate).
+/// the anchor gate calls the model miscalibrated. The artifact gate in
+/// `scripts/check_bench.sh` holds the same value.
 pub const DEFAULT_ANCHOR_TOL: f64 = 0.02;
 
 /// Offered load as a fraction of the shipped anchor's steady capacity
@@ -301,7 +302,7 @@ fn goodput(report: &ClusterReport, offered: u64) -> f64 {
 /// unverifiable by downstream gates.
 fn q6(x: f64) -> f64 {
     if x.is_finite() {
-        format!("{x:.6}").parse().expect("q6 round-trip")
+        fixed6(x).parse().expect("q6 round-trip")
     } else {
         x
     }
@@ -431,64 +432,39 @@ pub fn check_anchor(candidates: &[DseCandidate], tol: f64) -> Result<(), String>
     Ok(())
 }
 
-/// Fixed-precision float for byte-stable JSON ({:.6} is lossless at
-/// the magnitudes involved and avoids shortest-repr jitter).
-fn f(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_owned()
-    }
-}
-
 /// Renders the sweep as deterministic JSON: stable key order, one
 /// candidate per line. Two same-seed runs are byte-identical.
 pub fn render_dse_json(cfg: &DseConfig, candidates: &[DseCandidate]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!(
-        "  \"campaign\": {{\"seed\": {}, \"vcus\": {}, \"jobs_per_vcu\": {}, \"load\": {}, \
-         \"fault_rate\": {}, \"mttr_s\": {}, \"candidates\": {}}},\n",
-        cfg.seed,
-        cfg.vcus,
-        cfg.jobs_per_vcu,
-        f(OFFERED_LOAD),
-        f(cfg.fault_rate),
-        f(cfg.mttr_s),
-        candidates.len()
-    ));
-    out.push_str("  \"candidates\": [\n");
-    for (i, c) in candidates.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"encoder_cores\": {}, \"decoder_cores\": {}, \"dram_gib_s\": {}, \
-             \"refstore_kpix\": {}, \"area_mm2\": {}, \"card_power_w\": {}, \
-             \"card_capex_usd\": {}, \"fleet_tco_usd\": {}, \"traffic_factor\": {}, \
-             \"bandwidth_pressure\": {}, \"util_steady\": {}, \"goodput_steady\": {}, \
-             \"goodput_fault\": {}, \"p99_wait_s\": {}, \"perf_mpix_s_per_vcu\": {}, \
-             \"perf_per_tco\": {}, \"anchor\": {}, \"on_frontier\": {}}}{}\n",
-            c.design.encoder_cores,
-            c.design.decoder_cores,
-            f(c.design.dram_raw_gib_s),
-            c.design.refstore_pixels / 1024,
-            f(c.area_mm2),
-            f(c.card_power_w),
-            f(c.card_capex_usd),
-            f(c.fleet_tco_usd),
-            f(c.traffic_factor),
-            f(c.bandwidth_pressure),
-            f(c.util_steady),
-            f(c.goodput_steady),
-            f(c.goodput_fault),
-            f(c.p99_wait_s),
-            f(c.perf_mpix_s_per_vcu),
-            f(c.perf_per_tco),
-            u8::from(c.anchor),
-            u8::from(c.on_frontier),
-            if i + 1 == candidates.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let campaign = JsonObj::new()
+        .u64("seed", cfg.seed)
+        .u64("vcus", cfg.vcus as u64)
+        .u64("jobs_per_vcu", cfg.jobs_per_vcu as u64)
+        .fixed("load", OFFERED_LOAD)
+        .fixed("fault_rate", cfg.fault_rate)
+        .fixed("mttr_s", cfg.mttr_s)
+        .u64("candidates", candidates.len() as u64);
+    let rows = candidates.iter().map(|c| {
+        JsonObj::new()
+            .u64("encoder_cores", c.design.encoder_cores as u64)
+            .u64("decoder_cores", c.design.decoder_cores as u64)
+            .fixed("dram_gib_s", c.design.dram_raw_gib_s)
+            .u64("refstore_kpix", (c.design.refstore_pixels / 1024) as u64)
+            .fixed("area_mm2", c.area_mm2)
+            .fixed("card_power_w", c.card_power_w)
+            .fixed("card_capex_usd", c.card_capex_usd)
+            .fixed("fleet_tco_usd", c.fleet_tco_usd)
+            .fixed("traffic_factor", c.traffic_factor)
+            .fixed("bandwidth_pressure", c.bandwidth_pressure)
+            .fixed("util_steady", c.util_steady)
+            .fixed("goodput_steady", c.goodput_steady)
+            .fixed("goodput_fault", c.goodput_fault)
+            .fixed("p99_wait_s", c.p99_wait_s)
+            .fixed("perf_mpix_s_per_vcu", c.perf_mpix_s_per_vcu)
+            .fixed("perf_per_tco", c.perf_per_tco)
+            .u64("anchor", u64::from(c.anchor))
+            .u64("on_frontier", u64::from(c.on_frontier))
+    });
+    artifact(campaign, "candidates", rows)
 }
 
 #[cfg(test)]
@@ -599,5 +575,32 @@ mod tests {
         // And a missing anchor is its own failure.
         cands.retain(|c| !c.anchor);
         assert!(check_anchor(&cands, DEFAULT_ANCHOR_TOL).is_err());
+    }
+
+    /// The header and first row of the committed artifact, rebuilt from
+    /// that row's values, must render byte for byte.
+    #[test]
+    fn render_pins_the_committed_artifact() {
+        let committed = include_str!("../../../results/dse_frontier.json");
+        let cand = DseCandidate {
+            design: DesignPoint::new(6, 1, 18.0, 36 * 1024),
+            area_mm2: 77.5,
+            card_power_w: 64.0,
+            card_capex_usd: 998.977031,
+            fleet_tco_usd: 48_879.540616,
+            traffic_factor: 2.341176,
+            bandwidth_pressure: 1.980008,
+            util_steady: 0.024051,
+            goodput_steady: 0.25599,
+            goodput_fault: 0.255729,
+            p99_wait_s: 0.0,
+            perf_mpix_s_per_vcu: 39.423159,
+            perf_per_tco: 25.809184,
+            anchor: false,
+            on_frontier: false,
+        };
+        let rendered = render_dse_json(&DseConfig::full(42), &vec![cand; 320]);
+        let head = |s: &str| s.lines().take(4).map(str::to_owned).collect::<Vec<_>>();
+        assert_eq!(head(&rendered), head(committed));
     }
 }

@@ -61,14 +61,29 @@ const DETAIL_CAP: usize = 4096;
 
 /// Reads the `VCU_THREADS` environment variable: the fleet-style
 /// parallelism knob shared by chunk-parallel encoding, the campaign
-/// sweep, and bench repetitions. Unset, empty, unparsable, or zero all
-/// fall back to 1 (sequential).
+/// sweep, and bench repetitions. Unset or empty means 1 (sequential).
+///
+/// # Panics
+///
+/// Panics, naming the value, if it is set to anything but an integer
+/// ≥ 1: a typo must not quietly turn a multi-thread run into a
+/// sequential one.
 pub fn env_threads() -> usize {
-    std::env::var("VCU_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
+    let value = std::env::var_os("VCU_THREADS");
+    parse_threads(value.as_ref().map(|v| v.to_string_lossy()).as_deref())
+        .unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Parses a `VCU_THREADS` value (`None` when unset); see [`env_threads`].
+fn parse_threads(value: Option<&str>) -> Result<usize, String> {
+    match value.map(str::trim) {
+        None | Some("") => Ok(1),
+        Some(v) => v
+            .parse::<usize>()
+            .ok()
+            .filter(|&n| n >= 1)
+            .ok_or_else(|| format!("VCU_THREADS must be an integer >= 1, got {v:?}")),
+    }
 }
 
 /// The process-wide pool. Workers are spawned lazily up to the highest
@@ -739,9 +754,17 @@ mod tests {
 
     #[test]
     fn env_threads_parses_and_defaults() {
-        // Only read, never set: tests in this binary run concurrently
-        // and the variable is process-global.
-        let n = env_threads();
-        assert!(n >= 1);
+        // Through the pure parser: tests in this binary run
+        // concurrently and the variable is process-global.
+        assert_eq!(parse_threads(None), Ok(1));
+        assert_eq!(parse_threads(Some("")), Ok(1));
+        assert_eq!(parse_threads(Some(" ")), Ok(1));
+        assert_eq!(parse_threads(Some("1")), Ok(1));
+        assert_eq!(parse_threads(Some(" 8\n")), Ok(8));
+        for bad in ["0", "abc", "2x", "-1", "1.5"] {
+            let err = parse_threads(Some(bad)).unwrap_err();
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
+        assert!(env_threads() >= 1);
     }
 }

@@ -14,6 +14,7 @@ use crate::planet::{OverflowPolicy, PlanetConfig, PlanetReport, PlanetSim};
 use crate::region::{region_job, RegionSpec};
 use vcu_chip::{ResourceDemand, VcuModel};
 use vcu_rng::mix64;
+use vcu_telemetry::json::{artifact, JsonObj};
 
 /// One cell of the sweep: a planet shape plus a traffic multiplier.
 #[derive(Debug, Clone, Copy)]
@@ -169,7 +170,6 @@ impl RegionCampaignConfig {
             period_s: self.horizon_s,
             chunk_s: self.chunk_s,
             traffic_scale: spec.traffic_scale,
-            merge_shards: 4,
             // At fleet scale a diurnal peak plateaus well under one
             // backlog job per worker (queueing wait ~ a fraction of a
             // chunk), so the campaign arms the router at 0.2 rather
@@ -232,7 +232,7 @@ pub struct RegionCampaignCell {
     pub tco_usd: f64,
     /// Delivered Mpix/s per TCO dollar — the frontier axis.
     pub perf_per_tco: f64,
-    /// Cross-shard merge digest of the overflow run.
+    /// Cross-cell merge digest of the overflow run.
     pub merge_digest: u64,
 }
 
@@ -281,63 +281,38 @@ pub fn run_region_campaign(cfg: &RegionCampaignConfig) -> Vec<RegionCampaignCell
         .collect()
 }
 
-/// Fixed-precision float for byte-stable JSON ({:.6} is lossless at
-/// the magnitudes involved and avoids shortest-repr jitter).
-fn f(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_owned()
-    }
-}
-
 /// Renders the sweep as deterministic JSON: stable key order, one cell
 /// per line. Two same-seed runs are byte-identical.
 pub fn render_region_json(cfg: &RegionCampaignConfig, cells: &[RegionCampaignCell]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!(
-        "  \"campaign\": {{\"seed\": {}, \"horizon_s\": {}, \"epoch_s\": {}, \
-         \"chunk_s\": {}, \"util\": {}, \"amplitude\": {}, \"cells\": {}}},\n",
-        cfg.seed,
-        f(cfg.horizon_s),
-        f(cfg.epoch_s),
-        f(cfg.chunk_s),
-        f(cfg.util),
-        f(cfg.amplitude),
-        cells.len()
-    ));
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"regions\": {}, \"cells_per_region\": {}, \"vcus_per_cell\": {}, \
-             \"total_vcus\": {}, \"traffic_scale\": {}, \"jobs\": {}, \"routed_jobs\": {}, \
-             \"routed_frac\": {}, \"goodput_overflow\": {}, \"goodput_isolated\": {}, \
-             \"p99_wait_overflow_s\": {}, \"p99_wait_isolated_s\": {}, \"blast_radius\": {}, \
-             \"perf_mpix_per_s\": {}, \"tco_usd\": {}, \"perf_per_tco\": {}, \
-             \"merge_digest\": {}}}{}\n",
-            c.regions,
-            c.cells_per_region,
-            c.vcus_per_cell,
-            c.total_vcus,
-            f(c.traffic_scale),
-            c.jobs,
-            c.routed_jobs,
-            f(c.routed_frac),
-            f(c.goodput_overflow),
-            f(c.goodput_isolated),
-            f(c.p99_wait_overflow_s),
-            f(c.p99_wait_isolated_s),
-            f(c.blast_radius),
-            f(c.perf_mpix_per_s),
-            f(c.tco_usd),
-            f(c.perf_per_tco),
-            c.merge_digest,
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let campaign = JsonObj::new()
+        .u64("seed", cfg.seed)
+        .fixed("horizon_s", cfg.horizon_s)
+        .fixed("epoch_s", cfg.epoch_s)
+        .fixed("chunk_s", cfg.chunk_s)
+        .fixed("util", cfg.util)
+        .fixed("amplitude", cfg.amplitude)
+        .u64("cells", cells.len() as u64);
+    let rows = cells.iter().map(|c| {
+        JsonObj::new()
+            .u64("regions", c.regions)
+            .u64("cells_per_region", c.cells_per_region)
+            .u64("vcus_per_cell", c.vcus_per_cell)
+            .u64("total_vcus", c.total_vcus)
+            .fixed("traffic_scale", c.traffic_scale)
+            .u64("jobs", c.jobs)
+            .u64("routed_jobs", c.routed_jobs)
+            .fixed("routed_frac", c.routed_frac)
+            .fixed("goodput_overflow", c.goodput_overflow)
+            .fixed("goodput_isolated", c.goodput_isolated)
+            .fixed("p99_wait_overflow_s", c.p99_wait_overflow_s)
+            .fixed("p99_wait_isolated_s", c.p99_wait_isolated_s)
+            .fixed("blast_radius", c.blast_radius)
+            .fixed("perf_mpix_per_s", c.perf_mpix_per_s)
+            .fixed("tco_usd", c.tco_usd)
+            .fixed("perf_per_tco", c.perf_per_tco)
+            .u64("merge_digest", c.merge_digest)
+    });
+    artifact(campaign, "cells", rows)
 }
 
 #[cfg(test)]
@@ -412,5 +387,34 @@ mod tests {
             cells[1].jobs,
             cells[0].jobs
         );
+    }
+
+    /// The header and first row of the committed artifact, rebuilt from
+    /// that row's values, must render byte for byte.
+    #[test]
+    fn render_pins_the_committed_artifact() {
+        let committed = include_str!("../../../results/region_campaign.json");
+        let cell = RegionCampaignCell {
+            regions: 1,
+            cells_per_region: 4,
+            vcus_per_cell: 400,
+            total_vcus: 1600,
+            traffic_scale: 1.0,
+            jobs: 24_197,
+            routed_jobs: 0,
+            routed_frac: 0.0,
+            goodput_overflow: 1.0,
+            goodput_isolated: 1.0,
+            p99_wait_overflow_s: 55.149212,
+            p99_wait_isolated_s: 55.149212,
+            blast_radius: 1.0,
+            perf_mpix_per_s: 730_676.615424,
+            tco_usd: 3_060_000.0,
+            perf_per_tco: 0.238783,
+            merge_digest: 16_850_908_288_065_090_721,
+        };
+        let rendered = render_region_json(&RegionCampaignConfig::full(42), &vec![cell; 5]);
+        let head = |s: &str| s.lines().take(4).map(str::to_owned).collect::<Vec<_>>();
+        assert_eq!(head(&rendered), head(committed));
     }
 }

@@ -7,8 +7,8 @@
 //!
 //! - [`region`]: one [`region::RegionSim`] runs N open-world cluster
 //!   cells (the event queue sharded by pool/cell) and merges their job
-//!   resolutions through a deterministic cross-shard merge whose order
-//!   is invariant in the shard count;
+//!   resolutions through one deterministic `(time, seq)` event queue,
+//!   so the merged order does not depend on the executor's schedule;
 //! - [`planet`]: [`planet::PlanetSim`] steps regions in lockstep
 //!   epochs over phase-shifted diurnal demand, routes overflow between
 //!   regions on backlog pressure, and schedules rolling

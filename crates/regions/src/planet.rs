@@ -62,9 +62,6 @@ pub struct PlanetConfig {
     /// Demand multiplier applied to every region's mean rate (the
     /// traffic-growth axis of the campaign sweep).
     pub traffic_scale: f64,
-    /// Physical shard count of each region's resolution merge; any
-    /// value yields the same merged order.
-    pub merge_shards: usize,
     /// Overflow routing policy.
     pub overflow: OverflowPolicy,
     /// Schedule rolling firmware-upgrade waves through every cell.
@@ -151,7 +148,6 @@ impl PlanetSim {
                 spec.clone(),
                 region_seed,
                 cfg.chunk_s,
-                cfg.merge_shards,
                 faults_per_cell,
             ));
             arrival_rngs.push(Rng::seed_from_u64(mix64(region_seed, 0xA1)));
@@ -365,7 +361,7 @@ impl PlanetSim {
 mod tests {
     use super::*;
 
-    fn tiny(seed: u64, overflow: bool, merge_shards: usize) -> PlanetConfig {
+    fn tiny(seed: u64, overflow: bool) -> PlanetConfig {
         PlanetConfig {
             seed,
             horizon_s: 60.0,
@@ -373,7 +369,6 @@ mod tests {
             period_s: 60.0,
             chunk_s: 10.0,
             traffic_scale: 1.0,
-            merge_shards,
             overflow: OverflowPolicy {
                 enabled: overflow,
                 pressure_threshold: 1.0,
@@ -398,8 +393,8 @@ mod tests {
 
     #[test]
     fn planet_accounts_and_is_deterministic() {
-        let a = PlanetSim::new(tiny(5, true, 4)).run();
-        let b = PlanetSim::new(tiny(5, true, 4)).run();
+        let a = PlanetSim::new(tiny(5, true)).run();
+        let b = PlanetSim::new(tiny(5, true)).run();
         assert_eq!(a, b, "same seed, same planet");
         assert!(a.jobs > 0);
         assert_eq!(
@@ -420,8 +415,8 @@ mod tests {
 
     #[test]
     fn seed_steers_the_planet() {
-        let a = PlanetSim::new(tiny(5, true, 4)).run();
-        let b = PlanetSim::new(tiny(6, true, 4)).run();
+        let a = PlanetSim::new(tiny(5, true)).run();
+        let b = PlanetSim::new(tiny(6, true)).run();
         assert_ne!(
             a.merge_digest, b.merge_digest,
             "seed must move the timeline"
@@ -429,20 +424,9 @@ mod tests {
     }
 
     #[test]
-    fn merge_shard_count_never_changes_the_outcome() {
-        // The tentpole invariant at planet scope: the physical shard
-        // count of the cross-shard merge is unobservable.
-        let one = PlanetSim::new(tiny(9, true, 1)).run();
-        for shards in [2, 4, 7] {
-            let k = PlanetSim::new(tiny(9, true, shards)).run();
-            assert_eq!(one, k, "merge_shards={shards} changed the planet");
-        }
-    }
-
-    #[test]
     fn overflow_routes_under_phase_shifted_peaks() {
-        let routed = PlanetSim::new(tiny(11, true, 4)).run();
-        let isolated = PlanetSim::new(tiny(11, false, 4)).run();
+        let routed = PlanetSim::new(tiny(11, true)).run();
+        let isolated = PlanetSim::new(tiny(11, false)).run();
         assert!(routed.routed_jobs > 0, "anti-phased peaks must overflow");
         assert_eq!(isolated.routed_jobs, 0);
         assert_eq!(routed.jobs, isolated.jobs, "same demand either way");

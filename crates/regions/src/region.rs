@@ -1,22 +1,20 @@
-//! One region: N open-world cluster-cell shards behind a deterministic
-//! cross-shard merge.
+//! One region: N open-world cluster cells behind a deterministic
+//! cross-cell merge.
 //!
-//! A region's fleet is sharded into cells (one `ClusterSim` each — the
-//! pool/cell sharding of the event queue: each cell owns its own DES
-//! heap instead of one planet-wide heap). Cells advance independently
-//! — in parallel across the `vcu-exec` pool — and their job
-//! resolutions are merged back into one region timeline through a
-//! [`ShardedEventQueue`] keyed by cell index. The merge uses the same
+//! A region's fleet is split into cells (one `ClusterSim` each, so
+//! each cell owns its own DES heap instead of one planet-wide heap).
+//! Cells advance independently — in parallel across the `vcu-exec`
+//! pool — and their job resolutions are merged back into one region
+//! timeline through an [`EventQueue`]. The merge uses the same
 //! tie-breaking discipline as the serve/cluster lockstep merge:
-//! global `(time, seq)` order, seq assigned in cell-index push order.
-//! Because partitioning a total order never changes its minimum, the
-//! merged timeline is invariant in the number of merge shards — the
-//! property the planet-scale determinism tests pin.
+//! global `(time, seq)` order, seq assigned in cell-index push order,
+//! so the merged timeline does not depend on which cell finished its
+//! batch first.
 
 use vcu_chip::TranscodeJob;
 use vcu_cluster::{
-    cell_cluster_config, ClusterReport, ClusterSim, FaultInjection, JobResolution, JobSpec,
-    Priority, ShardedEventQueue,
+    cell_cluster_config, ClusterReport, ClusterSim, EventQueue, FaultInjection, JobResolution,
+    JobSpec, Priority,
 };
 use vcu_codec::Profile;
 use vcu_media::Resolution;
@@ -104,14 +102,14 @@ pub struct RegionReport {
     pub merge_digest: u64,
 }
 
-/// One region at runtime: cell shards plus the cross-shard merge.
+/// One region at runtime: cell shards plus the cross-cell merge.
 #[derive(Debug)]
 pub struct RegionSim {
     spec: RegionSpec,
     chunk_s: f64,
     cells: Vec<ClusterSim>,
-    /// Cross-shard merge of cell resolutions, keyed by cell index.
-    merge: ShardedEventQueue<(usize, JobResolution)>,
+    /// Cross-cell merge of cell resolutions, tagged with the cell index.
+    merge: EventQueue<(usize, JobResolution)>,
     merge_digest: u64,
     merged: u64,
     injected: u64,
@@ -124,14 +122,11 @@ impl RegionSim {
     /// Builds the region: cell `i` is an open-world [`ClusterSim`]
     /// seeded `mix64(seed, i)` under the fault-campaign cluster
     /// policies, with `faults_per_cell[i]` pre-scheduled (upgrade
-    /// waves, domain outages). `merge_shards` sets the physical shard
-    /// count of the resolution merge — any value produces the same
-    /// merged order.
+    /// waves, domain outages).
     pub fn new(
         spec: RegionSpec,
         seed: u64,
         chunk_s: f64,
-        merge_shards: usize,
         mut faults_per_cell: Vec<Vec<FaultInjection>>,
     ) -> Self {
         assert!(spec.cells > 0, "a region needs at least one cell");
@@ -152,7 +147,7 @@ impl RegionSim {
             spec,
             chunk_s,
             cells,
-            merge: ShardedEventQueue::new(merge_shards),
+            merge: EventQueue::new(),
             merge_digest: 0x9E37_79B9_7F4A_7C15,
             merged: 0,
             injected: 0,
@@ -241,17 +236,17 @@ impl RegionSim {
         self.merge_resolutions();
     }
 
-    /// Feeds each cell's drained resolutions through the sharded
-    /// merge. Push order is (cell index, within-cell resolution
-    /// order); pop order is global `(time, seq)` — the cross-shard
-    /// merge whose order the digest pins.
+    /// Feeds each cell's drained resolutions through the merge. Push
+    /// order is (cell index, within-cell resolution order); pop order
+    /// is global `(time, seq)` — the cross-cell merge whose order the
+    /// digest pins.
     fn merge_resolutions(&mut self) {
         for cell in 0..self.cells.len() {
             for r in self.cells[cell].drain_resolutions() {
-                self.merge.schedule(cell, r.time_s, (cell, r));
+                self.merge.schedule(r.time_s, (cell, r));
             }
         }
-        while let Some((_, ev)) = self.merge.pop() {
+        while let Some(ev) = self.merge.pop() {
             let (cell, r) = ev.event;
             self.merged += 1;
             self.merge_digest = mix64(

@@ -17,6 +17,7 @@
 
 use crate::sim::{ServeConfig, ServeSim};
 use vcu_rng::mix64;
+use vcu_telemetry::json::{artifact, JsonObj};
 
 /// One cell of the sweep: a viewer population against a fleet + cache.
 #[derive(Debug, Clone, Copy)]
@@ -209,62 +210,37 @@ pub fn run_serve_campaign(cfg: &ServeCampaignConfig) -> Vec<ServeCampaignCell> {
     )
 }
 
-/// Fixed-precision float for byte-stable JSON ({:.6} is lossless at
-/// the magnitudes involved and avoids shortest-repr jitter).
-fn f(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_owned()
-    }
-}
-
 /// Renders the sweep as deterministic JSON: stable key order, one cell
 /// per line. Two same-seed runs are byte-identical.
 pub fn render_serve_json(cfg: &ServeCampaignConfig, cells: &[ServeCampaignCell]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!(
-        "  \"campaign\": {{\"seed\": {}, \"cells\": {}}},\n",
-        cfg.seed,
-        cells.len()
-    ));
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"viewers\": {}, \"vcus\": {}, \"cache_segments\": {}, \"arrivals\": {}, \
-             \"admitted\": {}, \"shed\": {}, \"completed\": {}, \"aborted\": {}, \
-             \"peak_concurrent\": {}, \"ttff_p50_s\": {}, \"ttff_p99_s\": {}, \
-             \"rebuffer_ratio\": {}, \"rebuffer_events\": {}, \"hit_ratio\": {}, \
-             \"transcodes\": {}, \"transcode_failures\": {}, \"segments_served\": {}, \
-             \"egress_gb\": {}, \"egress_cost_usd\": {}, \"transcode_cost_usd\": {}, \
-             \"degraded_frac\": {}}}{}\n",
-            c.viewers,
-            c.vcus,
-            c.cache_segments,
-            c.arrivals,
-            c.admitted,
-            c.shed,
-            c.completed,
-            c.aborted,
-            c.peak_concurrent,
-            f(c.ttff_p50_s),
-            f(c.ttff_p99_s),
-            f(c.rebuffer_ratio),
-            c.rebuffer_events,
-            f(c.hit_ratio),
-            c.transcodes,
-            c.transcode_failures,
-            c.segments_served,
-            f(c.egress_gb),
-            f(c.egress_cost_usd),
-            f(c.transcode_cost_usd),
-            f(c.degraded_frac),
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let campaign = JsonObj::new()
+        .u64("seed", cfg.seed)
+        .u64("cells", cells.len() as u64);
+    let rows = cells.iter().map(|c| {
+        JsonObj::new()
+            .u64("viewers", c.viewers)
+            .u64("vcus", c.vcus)
+            .u64("cache_segments", c.cache_segments)
+            .u64("arrivals", c.arrivals)
+            .u64("admitted", c.admitted)
+            .u64("shed", c.shed)
+            .u64("completed", c.completed)
+            .u64("aborted", c.aborted)
+            .u64("peak_concurrent", c.peak_concurrent)
+            .fixed("ttff_p50_s", c.ttff_p50_s)
+            .fixed("ttff_p99_s", c.ttff_p99_s)
+            .fixed("rebuffer_ratio", c.rebuffer_ratio)
+            .u64("rebuffer_events", c.rebuffer_events)
+            .fixed("hit_ratio", c.hit_ratio)
+            .u64("transcodes", c.transcodes)
+            .u64("transcode_failures", c.transcode_failures)
+            .u64("segments_served", c.segments_served)
+            .fixed("egress_gb", c.egress_gb)
+            .fixed("egress_cost_usd", c.egress_cost_usd)
+            .fixed("transcode_cost_usd", c.transcode_cost_usd)
+            .fixed("degraded_frac", c.degraded_frac)
+    });
+    artifact(campaign, "cells", rows)
 }
 
 #[cfg(test)]
@@ -328,5 +304,38 @@ mod tests {
             cells[1].hit_ratio,
             cells[0].hit_ratio
         );
+    }
+
+    /// The header and first row of the committed artifact, rebuilt from
+    /// that row's values, must render byte for byte.
+    #[test]
+    fn render_pins_the_committed_artifact() {
+        let committed = include_str!("../../../results/serve_campaign.json");
+        let cell = ServeCampaignCell {
+            viewers: 100_000,
+            vcus: 1024,
+            cache_segments: 8192,
+            arrivals: 249_419,
+            admitted: 222_529,
+            shed: 26_890,
+            completed: 222_529,
+            aborted: 0,
+            peak_concurrent: 105_649,
+            ttff_p50_s: 0.05,
+            ttff_p99_s: 4.050676,
+            rebuffer_ratio: 0.028826,
+            rebuffer_events: 503_764,
+            hit_ratio: 0.38033,
+            transcodes: 305_538,
+            transcode_failures: 0,
+            segments_served: 1_345_097,
+            egress_gb: 3088.857077,
+            egress_cost_usd: 61.777142,
+            transcode_cost_usd: 1.299415,
+            degraded_frac: 0.0,
+        };
+        let rendered = render_serve_json(&ServeCampaignConfig::full(42), &vec![cell; 6]);
+        let head = |s: &str| s.lines().take(4).map(str::to_owned).collect::<Vec<_>>();
+        assert_eq!(head(&rendered), head(committed));
     }
 }

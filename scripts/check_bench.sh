@@ -30,10 +30,10 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
-REGRESSION_FACTOR="${VCU_BENCH_GATE_FACTOR:-3.0}"
+REGRESSION_FACTOR=3.0
 MIN_MEDIAN_NS=100000 # 100 µs
-MIN_SCALING="${VCU_BENCH_MIN_SCALING:-2.0}"
-KERNEL_MIN_SPEEDUP="${VCU_KERNEL_MIN_SPEEDUP:-1.5}"
+MIN_SCALING=2.0
+KERNEL_MIN_SPEEDUP=1.5
 COMMITTED=results/bench_codec.json
 FRESH="${TMPDIR:-/tmp}/bench_codec_smoke.json"
 HOST_CORES="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
@@ -59,19 +59,22 @@ if [[ ! -f "$FRESH" ]]; then
     exit 1
 fi
 
-# The Harness writes one record per line with a fixed key order, so a
-# line-oriented awk join is reliable (no jq in the image).
-awk -v factor="$REGRESSION_FACTOR" -v min_median="$MIN_MEDIAN_NS" \
-    -v min_scaling="$MIN_SCALING" -v host_cores="$HOST_CORES" \
-    -v host_sse2="$HOST_SSE2" -v host_avx2="$HOST_AVX2" \
-    -v min_kernel_speedup="$KERNEL_MIN_SPEEDUP" '
+# Every gated artifact holds one record per line with a fixed key
+# order, so a line-oriented awk join is reliable (no jq in the image).
+# field(line, key) reads one numeric value out of a record line.
+AWK_FIELD='
     function field(line, key,    s) {
         s = line
         if (!match(s, "\"" key "\": [-0-9.e+]+")) return ""
         s = substr(s, RSTART, RLENGTH)
         sub("\"" key "\": ", "", s)
         return s
-    }
+    }'
+
+awk -v factor="$REGRESSION_FACTOR" -v min_median="$MIN_MEDIAN_NS" \
+    -v min_scaling="$MIN_SCALING" -v host_cores="$HOST_CORES" \
+    -v host_sse2="$HOST_SSE2" -v host_avx2="$HOST_AVX2" \
+    -v min_kernel_speedup="$KERNEL_MIN_SPEEDUP" "$AWK_FIELD"'
     /"host_cores":/ {
         if (FNR == NR) committed_cores = field($0, "host_cores") + 0
     }
@@ -232,8 +235,8 @@ fi
 # shows no cliff across ascending cache sizes within a sweep group.
 # Rows without a same-fleet sweep partner are reported as skipped so
 # the gate's blind spots stay visible.
-MIN_PEAK="${VCU_SERVE_MIN_PEAK:-1000000}"
-TTFF_CLIFF_FACTOR="${VCU_SERVE_TTFF_FACTOR:-1.25}"
+MIN_PEAK=1000000
+TTFF_CLIFF_FACTOR=1.25
 TTFF_CLIFF_SLACK_S=0.05
 SERVE_COMMITTED=results/serve_campaign.json
 
@@ -243,14 +246,7 @@ if [[ ! -f "$SERVE_COMMITTED" ]]; then
 fi
 
 echo "--> serve campaign artifact"
-awk -v min_peak="$MIN_PEAK" -v cliff="$TTFF_CLIFF_FACTOR" -v slack="$TTFF_CLIFF_SLACK_S" '
-    function field(line, key,    s) {
-        s = line
-        if (!match(s, "\"" key "\": [-0-9.e+]+")) return ""
-        s = substr(s, RSTART, RLENGTH)
-        sub("\"" key "\": ", "", s)
-        return s
-    }
+awk -v min_peak="$MIN_PEAK" -v cliff="$TTFF_CLIFF_FACTOR" -v slack="$TTFF_CLIFF_SLACK_S" "$AWK_FIELD"'
     /"viewers":/ {
         n++
         split("viewers vcus cache_segments arrivals admitted shed completed aborted " \
@@ -331,7 +327,7 @@ awk -v min_peak="$MIN_PEAK" -v cliff="$TTFF_CLIFF_FACTOR" -v slack="$TTFF_CLIFF_
 # total goodput versus the isolated-regions counterfactual, every
 # multi-region cell actually routed work across its anti-phased peaks,
 # and the largest cell demonstrates >= MIN_VCUS total VCUs.
-MIN_VCUS="${VCU_REGION_MIN_VCUS:-100000}"
+MIN_VCUS=100000
 REGION_COMMITTED=results/region_campaign.json
 
 if [[ ! -f "$REGION_COMMITTED" ]]; then
@@ -340,14 +336,7 @@ if [[ ! -f "$REGION_COMMITTED" ]]; then
 fi
 
 echo "--> region campaign artifact"
-awk -v min_vcus="$MIN_VCUS" '
-    function field(line, key,    s) {
-        s = line
-        if (!match(s, "\"" key "\": [-0-9.e+]+")) return ""
-        s = substr(s, RSTART, RLENGTH)
-        sub("\"" key "\": ", "", s)
-        return s
-    }
+awk -v min_vcus="$MIN_VCUS" "$AWK_FIELD"'
     /"total_vcus":/ {
         n++
         split("regions cells_per_region vcus_per_cell total_vcus traffic_scale " \
@@ -402,10 +391,10 @@ awk -v min_vcus="$MIN_VCUS" '
 # perf/VCU, fault goodput, perf/TCO, latency headroom 1/(1+p99)) and
 # must match the on_frontier flags exactly, the shipped anchor appears
 # exactly once, sits on the frontier, and no candidate dominates it
-# beyond VCU_DSE_ANCHOR_TOL. Candidates are never skipped here — a row
+# beyond DSE_ANCHOR_TOL. Candidates are never skipped here — a row
 # that cannot be scored is a failure, and the zero-skip count is
 # printed so that stays visible.
-DSE_ANCHOR_TOL="${VCU_DSE_ANCHOR_TOL:-0.02}"
+DSE_ANCHOR_TOL=0.02 # vcu_dse::DEFAULT_ANCHOR_TOL
 DSE_COMMITTED=results/dse_frontier.json
 
 if [[ ! -f "$DSE_COMMITTED" ]]; then
@@ -414,14 +403,7 @@ if [[ ! -f "$DSE_COMMITTED" ]]; then
 fi
 
 echo "--> dse frontier artifact"
-awk -v tol="$DSE_ANCHOR_TOL" '
-    function field(line, key,    s) {
-        s = line
-        if (!match(s, "\"" key "\": [-0-9.e+]+")) return ""
-        s = substr(s, RSTART, RLENGTH)
-        sub("\"" key "\": ", "", s)
-        return s
-    }
+awk -v tol="$DSE_ANCHOR_TOL" "$AWK_FIELD"'
     # True if candidate a Pareto-dominates b over the four maximize
     # objectives (>= on all, > on at least one) — the same textbook
     # definition vcu-dse implements, re-derived independently here.

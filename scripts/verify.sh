@@ -60,47 +60,32 @@ stage_examples() {
     done
 }
 
-# Smoke-run every bench binary in its seconds-long configuration
+# Smoke-run the bench binaries in their seconds-long configuration
 # (tiny fleets, temp-dir JSON) so the binaries and their built-in
-# gates (indexed-vs-linear equivalence, graceful-degradation curve,
-# thread-count byte-identity) can't rot.
+# gates (indexed-vs-linear equivalence, thread-count byte-identity)
+# can't rot.
 stage_bench_smoke() {
     echo "--> bench_cluster_scale"
     VCU_BENCH_SMOKE=1 cargo run -q -p vcu-bench --release --offline --bin bench_cluster_scale \
         | tail -n 2
-    echo "--> bench_fault_campaign"
-    VCU_BENCH_SMOKE=1 cargo run -q -p vcu-bench --release --offline --bin bench_fault_campaign \
-        | tail -n 3
     echo "--> bench codec"
     VCU_BENCH_SMOKE=1 cargo bench -q -p vcu-bench --offline --bench codec \
         | tail -n 2
 }
 
-# Smoke-run the serving campaign: a seconds-long cache sweep whose
-# in-binary gates (exact session accounting, monotone hit ratio, no
-# TTFF p99 cliff) keep the serving layer honest.
-stage_serve_smoke() {
-    VCU_BENCH_SMOKE=1 cargo run -q -p vcu-bench --release --offline --bin bench_serve \
-        | tail -n 3
-}
-
-# Smoke-run the region campaign: a seconds-long two-region sweep whose
-# in-binary gates (overflow routing never loses goodput vs isolated
-# regions, anti-phased peaks actually route) keep the planet layer
-# honest.
-stage_region_smoke() {
-    VCU_BENCH_SMOKE=1 cargo run -q -p vcu-bench --release --offline --bin bench_region_campaign \
-        | tail -n 3
-}
-
-# Smoke-run the chip design-space exploration: a seconds-long 3x3
-# sweep (encoder cores x DRAM bandwidth through the shipped point)
-# whose in-binary gates (byte-identity across executor parallelism,
-# shipped-VCU-on-frontier, no dominated point reported) keep the
-# co-design loop honest.
-stage_dse_smoke() {
-    VCU_BENCH_SMOKE=1 cargo run -q -p vcu-bench --release --offline --bin bench_dse \
-        | tail -n 3
+# Smoke-run the four campaign binaries, each with its in-binary gates:
+# fault (graceful-degradation curve), serve (exact session accounting,
+# monotone hit ratio, no TTFF p99 cliff), region (overflow routing
+# never loses goodput, anti-phased peaks actually route) and DSE
+# (byte-identity across executor parallelism, shipped VCU on the
+# frontier, no dominated point reported).
+stage_campaign_smoke() {
+    local bin
+    for bin in bench_fault_campaign bench_serve bench_region_campaign bench_dse; do
+        echo "--> $bin"
+        VCU_BENCH_SMOKE=1 cargo run -q -p vcu-bench --release --offline --bin "$bin" \
+            | tail -n 3
+    done
 }
 
 # Compare a fresh smoke bench run against the committed results: a
@@ -137,15 +122,13 @@ run_stage test stage_test
 run_stage clippy stage_clippy
 run_stage examples stage_examples
 run_stage bench_smoke stage_bench_smoke
-run_stage serve_smoke stage_serve_smoke
-run_stage region_smoke stage_region_smoke
-run_stage dse_smoke stage_dse_smoke
+run_stage campaign_smoke stage_campaign_smoke
 run_stage bench_gate stage_bench_gate
 run_stage determinism stage_determinism
 run_stage simd_off stage_simd_off
 
 if [[ "$STAGES_RUN" -eq 0 ]]; then
-    echo "no stage named '$STAGE_FILTER' (stages: fmt build test clippy examples bench_smoke serve_smoke region_smoke dse_smoke bench_gate determinism simd_off)" >&2
+    echo "no stage named '$STAGE_FILTER' (stages: fmt build test clippy examples bench_smoke campaign_smoke bench_gate determinism simd_off)" >&2
     exit 1
 fi
 echo "tier-1 verify: OK ($STAGES_RUN stages)"

@@ -795,10 +795,8 @@ mod serving {
 }
 
 // Planet-scale properties: sharding the event queue by pool/cell must
-// be a pure implementation detail. One cell behind the cross-shard
-// merge is the same machine as a plain `ClusterSim`, and the merge's
-// physical shard count can never change the merged event order or the
-// final report.
+// be a pure implementation detail. One cell behind the cross-cell
+// merge is the same machine as a plain `ClusterSim`.
 mod region_scale {
     use vcu_cluster::{cell_cluster_config, ClusterSim, JobSpec, Priority};
     use vcu_regions::{region_job, RegionReport, RegionSim, RegionSpec};
@@ -816,7 +814,6 @@ mod region_scale {
         seed: u64,
         cells: usize,
         vcus_per_cell: usize,
-        merge_shards: usize,
         mean_rate_per_s: f64,
     ) -> (RegionReport, Vec<f64>) {
         let spec = RegionSpec {
@@ -834,7 +831,7 @@ mod region_scale {
             period_s: HORIZON_S,
         };
         let mut arrival_rng = Rng::seed_from_u64(mix64(seed, 0xA1));
-        let mut region = RegionSim::new(spec, seed, CHUNK_S, merge_shards, Vec::new());
+        let mut region = RegionSim::new(spec, seed, CHUNK_S, Vec::new());
         let mut offered = Vec::new();
         let mut t = 0.0;
         while t < HORIZON_S {
@@ -858,17 +855,17 @@ mod region_scale {
     }
 
     prop_cases! {
-        /// Tentpole equivalence: a one-cell region behind the sharded
+        /// Tentpole equivalence: a one-cell region behind the cross-cell
         /// merge resolves exactly like a plain `ClusterSim` handed the
         /// same jobs in one batch — same counters, bit-identical
-        /// output accounting. Open-world injection and the cross-shard
+        /// output accounting. Open-world injection and the cross-cell
         /// merge must add nothing and lose nothing.
         #[cases(6)]
         fn one_cell_region_matches_plain_cluster_sim(rng) {
             let seed = rng.gen_range(0u64..1 << 48);
             let vcus = rng.gen_range(3usize..9);
             let rate = rng.gen_range(0.3..1.2);
-            let (region, offered) = drive_region(seed, 1, vcus, 1, rate);
+            let (region, offered) = drive_region(seed, 1, vcus, rate);
 
             let jobs: Vec<JobSpec> = offered
                 .iter()
@@ -912,26 +909,6 @@ mod region_scale {
                 plain.mean_wait_s
             );
             assert_eq!(region.merged_resolutions, plain.completed + plain.failed);
-        }
-
-        /// The merge's physical shard count is invisible: any shard
-        /// count produces the same merged event order (pinned by the
-        /// order-sensitive digest) and the same final report.
-        #[cases(4)]
-        fn merge_shard_count_never_changes_the_report(rng) {
-            let seed = rng.gen_range(0u64..1 << 48);
-            let cells = rng.gen_range(2usize..5);
-            let vcus = rng.gen_range(3usize..7);
-            let rate = rng.gen_range(0.5..1.5);
-            let (one, offered_one) = drive_region(seed, cells, vcus, 1, rate);
-            let shards = rng.gen_range(2usize..9);
-            let (many, offered_many) = drive_region(seed, cells, vcus, shards, rate);
-            assert_eq!(offered_one, offered_many, "same seed, same arrivals");
-            assert_eq!(
-                one, many,
-                "seed {seed}: merge_shards {shards} changed the region outcome"
-            );
-            assert_eq!(one.merge_digest, many.merge_digest);
         }
     }
 }
